@@ -133,12 +133,6 @@ type DynamicConfig struct {
 	// under low churn; KappaApprox samples an upper bound with an exact
 	// fallback near the threshold.
 	Kappa KappaConfig
-	// Layout selects the round engine's staging data layout (see
-	// SimulationConfig.Layout). Results are byte-identical for every value.
-	Layout Layout
-	// BloomDedup fronts every node's duplicate check with a Bloom filter
-	// (see SimulationConfig.BloomDedup). Results are byte-identical.
-	BloomDedup bool
 }
 
 // EpochResult reports one epoch of a dynamic run.
@@ -243,11 +237,7 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		buildOpts := []BuildOption{WithVerifyCache(NewVerifyCache())}
-		if cfg.BloomDedup {
-			buildOpts = append(buildOpts, WithBloomDedup())
-		}
-		nodes, err := BuildNodes(g, cfg.T, scheme, cfg.EpochRounds, buildOpts...)
+		nodes, err := BuildNodes(g, cfg.T, scheme, cfg.EpochRounds, WithVerifyCache(NewVerifyCache()))
 		if err != nil {
 			return nil, err
 		}
@@ -333,7 +323,6 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 		Tracer:      cfg.Tracer,
 		Registry:    cfg.Registry,
 		Kappa:       cfg.Kappa,
-		Layout:      cfg.Layout,
 	}, build)
 	if err != nil {
 		return nil, err

@@ -201,52 +201,6 @@ func TestVerifyCacheEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestLargeNVariantEquivalenceProperty: the large-n engine variants —
-// forced struct-of-arrays round staging and the Bloom-fronted duplicate
-// check (DESIGN.md §14) — are pure wall-clock/allocation optimizations:
-// for every scenario of the matrix each variant must be byte-identical to
-// the default (AoS staging, filterless) run. The Bloom filter holds a
-// superset of each node's view, so a miss proves the edge unseen and a
-// hit falls through to the exact probe — the duplicate verdict, and with
-// it every counter and output, never changes.
-func TestLargeNVariantEquivalenceProperty(t *testing.T) {
-	variants := []struct {
-		name      string
-		mut       func(*SimulationConfig)
-		wantBloom bool // the filter must actually resolve misses, not no-op
-	}{
-		{"layout-soa", func(c *SimulationConfig) { c.Layout = LayoutSoA }, false},
-		{"bloom", func(c *SimulationConfig) { c.BloomDedup = true }, true},
-		{"bloom/soa", func(c *SimulationConfig) { c.BloomDedup = true; c.Layout = LayoutSoA }, true},
-		{"bloom/paranoid", func(c *SimulationConfig) { c.BloomDedup = true; c.ParanoidVerify = true }, true},
-	}
-	for _, seed := range []int64{1, 7} {
-		for _, tc := range equivalenceCases(t, seed) {
-			ref, err := Simulate(tc.cfg) // AoS via auto-layout, no filter
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, tc.name, err)
-			}
-			for _, v := range variants {
-				cfg := tc.cfg
-				v.mut(&cfg)
-				got, err := Simulate(cfg)
-				if err != nil {
-					t.Fatalf("seed %d %s/%s: %v", seed, tc.name, v.name, err)
-				}
-				label := fmt.Sprintf("seed %d %s/%s", seed, tc.name, v.name)
-				assertSimEquivalent(t, label, ref, got)
-				if fired := got.BloomSkips > 0; fired != v.wantBloom {
-					t.Errorf("%s: BloomSkips=%d, want fired=%v", label, got.BloomSkips, v.wantBloom)
-				}
-				if !cfg.ParanoidVerify && got.LazyDiscards != ref.LazyDiscards {
-					t.Errorf("%s: LazyDiscards diverge: got=%d ref=%d",
-						label, got.LazyDiscards, ref.LazyDiscards)
-				}
-			}
-		}
-	}
-}
-
 // TestLazyDiscardFires: flooding re-delivers every edge many times, so the
 // header-first lazy decode must actually short-circuit duplicates — a
 // regression guard against the fast path silently decoding everything.

@@ -7,15 +7,35 @@ import (
 	"github.com/nectar-repro/nectar/internal/harness"
 )
 
+// runSingle executes one registered experiment through the pipeline with
+// default scheduling.
+func runSingle(id string, opts Options) (*Output, error) {
+	rep, err := RunExperiments([]string{id}, opts, RunConfig{})
+	if err != nil {
+		return nil, err
+	}
+	return rep.Experiments[0].Output, nil
+}
+
+// runSingleExperiment executes an ad-hoc experiment the same way.
+func runSingleExperiment(e Experiment, opts Options) (*Output, error) {
+	rep, err := runExperimentSet([]Experiment{e}, opts, RunConfig{})
+	if err != nil {
+		return nil, err
+	}
+	return rep.Experiments[0].Output, nil
+}
+
 func TestFig8ReproducesThePaperShape(t *testing.T) {
 	// The headline result (Fig. 8): NECTAR keeps 100% accuracy for every
 	// t; MtG is fooled on one side by a single poisoner and on both sides
 	// by two; MtGv2 splits the network's beliefs (≈ 0.5, broken
 	// agreement).
-	fig, err := Fig8N(20, Options{Quick: true, Trials: 4, Seed: 3})
+	out, err := runSingleExperiment(fig8Experiment("fig8-n20", 20), Options{Quick: true, Trials: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fig := out.Figure
 	series := map[string][]Point{}
 	for _, s := range fig.Series {
 		series[s.Name] = s.Points

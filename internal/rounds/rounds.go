@@ -149,27 +149,19 @@ type Config struct {
 	// means DefaultMsgOverhead, any negative value means a true
 	// zero-overhead configuration (payload bytes only).
 	MsgOverhead int
-	// Sequential disables per-node parallelism. Results are identical
-	// either way; sequential mode is mainly for debugging.
-	Sequential bool
 	// Workers caps the engine's intra-run parallelism (emit / route /
-	// deliver stripes): 0 means GOMAXPROCS, negative is invalid.
-	// Sequential takes precedence (forces 1). Worker count never changes
-	// results — routing is sender-striped and merged in sender-major
-	// order — so schedulers (internal/exp) are free to split one machine
-	// budget between concurrent trials and each trial's engine.
+	// deliver stripes): 0 means GOMAXPROCS, negative is invalid, and 1
+	// runs every phase inline on the caller's goroutine (no goroutines at
+	// all — the mode for debugging). Worker count never changes results
+	// — routing is sender-striped and merged in sender-major order — so
+	// schedulers (internal/exp) are free to split one machine budget
+	// between concurrent trials and each trial's engine.
 	Workers int
 	// FullHorizon disables quiescence early exit: all Rounds rounds run
 	// even when every node is quiescent. Results are identical either
 	// way (the skipped rounds are provably silent); the knob exists for
 	// equivalence tests and ablations.
 	FullHorizon bool
-	// Layout selects the router's staging data layout (DESIGN.md §14):
-	// LayoutAuto (zero value) uses struct-of-arrays staging at or above
-	// SoAThreshold nodes and the classic per-recipient-slice layout below
-	// it; LayoutAoS / LayoutSoA force one side. Results are byte-identical
-	// for every value.
-	Layout Layout
 	// LossRate drops each routed message independently with the given
 	// probability (0 = reliable channels, the paper's model). Message
 	// loss violates NECTAR's channel assumption and exists to reproduce
@@ -332,8 +324,18 @@ type engine struct {
 
 // Run drives nodes through cfg.Rounds synchronous rounds and returns the
 // traffic metrics. nodes[i] is the protocol state machine of node i; its
-// length must equal cfg.Graph.N().
+// length must equal cfg.Graph.N(). Staging uses the struct-of-arrays
+// layout at or above SoAThreshold nodes and the per-recipient layout
+// below it (see soa.go); the choice never changes results.
 func Run(cfg Config, nodes []Protocol) (*Metrics, error) {
+	// run rejects len(nodes) != n, so the node count stands in for n.
+	return run(cfg, nodes, len(nodes) >= SoAThreshold)
+}
+
+// run is Run with the staging layout given: soa selects struct-of-arrays
+// staging, otherwise per-recipient slices. Run derives it from n; tests
+// force each side to pin the two layouts byte-identical.
+func run(cfg Config, nodes []Protocol, soa bool) (*Metrics, error) {
 	g := cfg.Graph
 	if cfg.Topology != nil {
 		// Round-1 events are part of the initial topology.
@@ -359,9 +361,6 @@ func Run(cfg Config, nodes []Protocol) (*Metrics, error) {
 	if cfg.Workers > 0 {
 		workers = cfg.Workers
 	}
-	if cfg.Sequential {
-		workers = 1
-	}
 	if workers > n {
 		workers = n
 	}
@@ -386,7 +385,7 @@ func Run(cfg Config, nodes []Protocol) (*Metrics, error) {
 		outboxes: make([][]Send, n),
 		inboxes:  make([][]delivery, n),
 	}
-	if cfg.Layout == LayoutSoA || (cfg.Layout == LayoutAuto && n >= SoAThreshold) {
+	if soa {
 		e.soa = make([]*soaShard, workers)
 		for w := range e.soa {
 			e.soa[w] = &soaShard{seen: make(map[uint64]bool)}
@@ -689,7 +688,7 @@ func fnv64(data []byte) uint64 {
 
 // parallelChunks splits [0, n) into one contiguous chunk per worker and
 // runs fn(worker, lo, hi) concurrently. With one worker it runs inline
-// (no goroutines) — the Sequential debugging mode.
+// (no goroutines).
 func parallelChunks(n, workers int, fn func(w, lo, hi int)) {
 	if workers <= 1 || n <= 1 {
 		fn(0, 0, n)

@@ -167,17 +167,17 @@ func TestCustomOverhead(t *testing.T) {
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	g := topology.Complete(9)
-	run := func(sequential bool) ([][]string, *Metrics) {
-		nodes, m := runFlood(t, g, Config{Rounds: 4, Seed: 77, Sequential: sequential})
+	flood := func(workers int) ([][]string, *Metrics) {
+		nodes, m := runFlood(t, g, Config{Rounds: 4, Seed: 77, Workers: workers})
 		recv := make([][]string, len(nodes))
 		for i, n := range nodes {
 			recv[i] = n.received
 		}
 		return recv, m
 	}
-	r1, m1 := run(false)
-	r2, m2 := run(false)
-	r3, m3 := run(true)
+	r1, m1 := flood(0)
+	r2, m2 := flood(0)
+	r3, m3 := flood(1)
 	if !reflect.DeepEqual(r1, r2) {
 		t.Error("two parallel runs with same seed differ")
 	}
@@ -444,18 +444,18 @@ func TestZeroOverheadSentinel(t *testing.T) {
 
 func TestLossDeterministicAcrossParallelism(t *testing.T) {
 	g := topology.Complete(12)
-	run := func(sequential bool) *Metrics {
+	lossy := func(workers int) *Metrics {
 		protos := make([]Protocol, 12)
 		for i := range protos {
 			protos[i] = &raceNode{g: g, id: ids.NodeID(i)}
 		}
-		m, err := Run(Config{Graph: g, Rounds: 8, Seed: 21, LossRate: 0.3, Sequential: sequential}, protos)
+		m, err := Run(Config{Graph: g, Rounds: 8, Seed: 21, LossRate: 0.3, Workers: workers}, protos)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	seq, par := run(true), run(false)
+	seq, par := lossy(1), lossy(0)
 	if seq.DroppedLoss != par.DroppedLoss || !reflect.DeepEqual(seq.MsgsDelivered, par.MsgsDelivered) {
 		t.Errorf("loss decisions depend on parallelism: seq dropped %d, par dropped %d",
 			seq.DroppedLoss, par.DroppedLoss)

@@ -15,26 +15,14 @@ import (
 // the end of the worker's routing pass. Stability keeps each shard's
 // segment for a recipient in sender-major order, and the delivery phase
 // gathers segments in shard (= sender-stripe) order, reproducing the AoS
-// merge order exactly — the equivalence property matrix pins the two
-// layouts byte-identical.
+// merge order exactly — TestLayoutsByteIdentical pins the two layouts
+// byte-identical.
 
-// Layout selects the router's staging data layout. Results are
-// byte-identical for every value; the knob exists for performance and for
-// the equivalence tests that prove that claim.
-type Layout int
-
-const (
-	// LayoutAuto picks LayoutSoA at or above SoAThreshold nodes.
-	LayoutAuto Layout = iota
-	// LayoutAoS forces the per-recipient-slice staging layout.
-	LayoutAoS
-	// LayoutSoA forces the flat struct-of-arrays staging layout.
-	LayoutSoA
-)
-
-// SoAThreshold is the node count at which LayoutAuto switches to the
+// SoAThreshold is the node count at which Run switches to the
 // struct-of-arrays router: below it the n-proportional counting-sort pass
-// costs more than the header tables it avoids.
+// costs more than the header tables it avoids. The choice is made from n
+// alone — the layouts are byte-identical, so there is nothing for a
+// caller to choose.
 const SoAThreshold = 2048
 
 // soaShard is one worker's flat staging state. Buffers persist across

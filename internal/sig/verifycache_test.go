@@ -1,7 +1,9 @@
 package sig
 
 import (
+	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/ids"
@@ -67,9 +69,15 @@ func TestVerifyCacheKeyCollisionIsSound(t *testing.T) {
 	if hit {
 		t.Error("mismatched message served from cache")
 	}
-	// And the original binding must survive (first verdict wins the slot).
+	// Both bindings are memoized, each with its own verdict.
 	if ok, hit := c.Verify(v, 3, msgA, sg); !ok || !hit {
 		t.Errorf("original entry clobbered: ok=%v hit=%v", ok, hit)
+	}
+	if ok, hit := c.Verify(v, 3, msgB, sg); ok || !hit {
+		t.Errorf("second message under the key: ok=%v hit=%v, want false/true", ok, hit)
+	}
+	if c.Len() != 2 {
+		t.Errorf("cache holds %d entries, want 2", c.Len())
 	}
 }
 
@@ -116,6 +124,17 @@ func TestVerifyCacheNilAndOversized(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Error("oversized signature was cached")
+	}
+	// Slim's 4-byte signer tags are too short to identify a message.
+	slim := NewSlim(4)
+	tag := slim.SignerFor(1).Sign(msg)
+	for i := 0; i < 2; i++ {
+		if ok, hit := c.Verify(slim.Verifier(), 1, msg, tag); !ok || hit {
+			t.Errorf("slim tag round %d: ok=%v hit=%v, want true/false", i, ok, hit)
+		}
+	}
+	if hits, misses := c.Stats(); c.Len() != 0 || hits != 0 || misses != 0 {
+		t.Errorf("slim tag was cached: len=%d hits=%d misses=%d", c.Len(), hits, misses)
 	}
 }
 
@@ -169,5 +188,75 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Len() != len(msgs) {
 		t.Errorf("cache holds %d entries, want %d", c.Len(), len(msgs))
+	}
+}
+
+// barrierVerifier blocks every Verify call until `parties` calls have
+// entered, then releases them all at once; later calls pass straight
+// through. It accepts exactly the messages equal to good.
+type barrierVerifier struct {
+	parties int32
+	entered *atomic.Int32
+	release chan struct{}
+	good    []byte
+}
+
+func (b barrierVerifier) Verify(_ ids.NodeID, msg, _ []byte) bool {
+	if b.entered.Add(1) == b.parties {
+		close(b.release)
+	}
+	<-b.release
+	return bytes.Equal(msg, b.good)
+}
+
+func (barrierVerifier) SigSize() int { return 64 }
+
+// TestVerifyCacheCountersScheduleIndependent forces every goroutine to miss
+// the read-locked lookup before any of them stores a verdict — the
+// interleaving two engine workers hit when they relay the same signature
+// in one round. Misses must still equal the number of distinct (signer,
+// sig, msg) triples, and every other query must count a hit, so the
+// counters that reach results depend only on the queries made.
+func TestVerifyCacheCountersScheduleIndependent(t *testing.T) {
+	sg := bytes.Repeat([]byte{7}, 64)
+	msgA, msgB := []byte("message A"), []byte("message B")
+	for _, tc := range []struct {
+		name string
+		msgs [][]byte
+	}{
+		{"one-message", [][]byte{msgA}},
+		{"two-messages-one-sig", [][]byte{msgA, msgB}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const goroutines = 8
+			v := barrierVerifier{parties: goroutines, entered: new(atomic.Int32), release: make(chan struct{}), good: msgA}
+			c := NewVerifyCache()
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				msg := tc.msgs[g%len(tc.msgs)]
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if ok, _ := c.Verify(v, 3, msg, sg); ok != bytes.Equal(msg, msgA) {
+						t.Errorf("verdict for %q = %v", msg, ok)
+					}
+				}()
+			}
+			wg.Wait()
+			// Serial re-queries of every triple are all hits.
+			for _, msg := range tc.msgs {
+				if ok, hit := c.Verify(v, 3, msg, sg); !hit || ok != bytes.Equal(msg, msgA) {
+					t.Errorf("re-query %q: ok=%v hit=%v, want a cached verdict", msg, ok, hit)
+				}
+			}
+			total := int64(goroutines + len(tc.msgs))
+			hits, misses := c.Stats()
+			if misses != int64(len(tc.msgs)) || hits != total-misses {
+				t.Errorf("hits/misses = %d/%d, want %d/%d", hits, misses, total-int64(len(tc.msgs)), len(tc.msgs))
+			}
+			if c.Len() != len(tc.msgs) {
+				t.Errorf("cache holds %d entries, want %d", c.Len(), len(tc.msgs))
+			}
+		})
 	}
 }
