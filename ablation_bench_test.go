@@ -1,10 +1,9 @@
 package nectar
 
-// Ablation benchmarks for the design choices called out in DESIGN.md:
+// Ablation benchmarks for the design choices called out in DESIGN.md
+// (the duplicate-discard ablation lives in internal/nectar, next to the
+// literal-order oracle it compares against):
 //
-//   - duplicate-discard-before-verification (Config.ParanoidVerify off)
-//     versus the literal Alg.-1 order — identical decisions, very
-//     different CPU cost;
 //   - the R = n-1 default round horizon versus an R = diameter+1
 //     override — identical traffic (nodes go silent once everything is
 //     discovered, §IV-E), fewer engine rounds;
@@ -19,13 +18,13 @@ import (
 
 // runCluster drives an all-correct cluster and returns total unicast
 // bytes.
-func runClusterBench(b *testing.B, g *Graph, scheme Scheme, roundsN int, opts ...BuildOption) int64 {
-	return runClusterBenchHorizon(b, g, scheme, roundsN, false, opts...)
+func runClusterBench(b *testing.B, g *Graph, scheme Scheme, roundsN int) int64 {
+	return runClusterBenchHorizon(b, g, scheme, roundsN, false)
 }
 
-func runClusterBenchHorizon(b *testing.B, g *Graph, scheme Scheme, roundsN int, fullHorizon bool, opts ...BuildOption) int64 {
+func runClusterBenchHorizon(b *testing.B, g *Graph, scheme Scheme, roundsN int, fullHorizon bool) int64 {
 	b.Helper()
-	nodes, err := BuildNodes(g, 1, scheme, roundsN, opts...)
+	nodes, err := BuildNodes(g, 1, scheme, roundsN)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -45,28 +44,6 @@ func runClusterBenchHorizon(b *testing.B, g *Graph, scheme Scheme, roundsN int, 
 		}
 	}
 	return m.TotalBytes()
-}
-
-// BenchmarkAblationDuplicateDiscard quantifies the verification-skipping
-// optimization (DESIGN.md §2): "fast" discards known edges before any
-// signature work, "paranoid" verifies first as the pseudocode literally
-// reads.
-func BenchmarkAblationDuplicateDiscard(b *testing.B) {
-	g, err := Harary(10, 40)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scheme := NewHMACScheme(40, 1)
-	b.Run("fast", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runClusterBench(b, g, scheme, 0)
-		}
-	})
-	b.Run("paranoid", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runClusterBench(b, g, scheme, 0, WithParanoidVerify())
-		}
-	})
 }
 
 // BenchmarkAblationRoundHorizon compares three ways of spending the round

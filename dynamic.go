@@ -245,37 +245,17 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 		for i, nd := range nodes {
 			protos[i] = nd
 		}
-		byz := ids.NewSet()
-		for b := range cfg.Byzantine {
-			byz.Add(b)
-		}
-		simCfg := SimulationConfig{
-			Graph:     g,
-			T:         cfg.T,
-			Seed:      seed,
-			Byzantine: cfg.Byzantine,
-			Blocked:   cfg.Blocked,
-		}
 		// Coordinated behaviours get a fresh controller per epoch: nodes
 		// are rebuilt each epoch, so adversary observations reset with
-		// them.
+		// them. Churned-out members are skipped, so they never join the
+		// coordinated coalition and steer victim selection; they are
+		// silenced below.
 		epochRounds := cfg.EpochRounds
 		if epochRounds == 0 {
 			epochRounds = n - 1
 		}
-		coord := coordinatorFor(cfg.Byzantine)
-		for _, b := range byz.Sorted() {
-			if absent.Has(b) {
-				// Replaced by Silent below: a churned-out node is off the
-				// network entirely, so it must not join the coordinated
-				// coalition and steer victim selection.
-				continue
-			}
-			p, err := wrapByzantine(simCfg, scheme, nodes[b], b, byz, coord, epochRounds)
-			if err != nil {
-				return nil, err
-			}
-			protos[b] = p
+		if err := adversary.WrapNectar(coalition(g, scheme, cfg.Byzantine, cfg.Blocked, seed, epochRounds), nodes, protos, absent); err != nil {
+			return nil, err
 		}
 		// Churned-out nodes are off the network entirely.
 		en := &epochNodes{}
@@ -284,7 +264,7 @@ func SimulateDynamic(cfg DynamicConfig) (*DynamicResult, error) {
 		}
 		for i := 0; i < n; i++ {
 			id := NodeID(i)
-			if !byz.Has(id) && !absent.Has(id) {
+			if _, isByz := cfg.Byzantine[id]; !isByz && !absent.Has(id) {
 				en.correct = append(en.correct, id)
 			}
 		}

@@ -6,15 +6,19 @@ package nectar
 // to a full-horizon sequential run. The matrix covers the four scenario
 // shapes of the evaluation (ring, drone scatter, hierarchical tree of
 // cliques, Byzantine bridge), every Byzantine behaviour Simulate
-// supports, and several seeds. The same matrix pins the large-n engine
-// variants (DESIGN.md §14): forced struct-of-arrays staging and the
-// Bloom-fronted duplicate check must also be byte-identical.
+// supports, and several seeds.
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"github.com/nectar-repro/nectar/internal/adversary"
+	"github.com/nectar-repro/nectar/internal/harness"
+	"github.com/nectar-repro/nectar/internal/ids"
+	"github.com/nectar-repro/nectar/internal/rounds"
 )
 
 // simCase is one topology + Byzantine placement under test.
@@ -158,44 +162,31 @@ func assertSimEquivalent(t *testing.T, label string, ref, got *SimulationResult)
 	}
 }
 
-// TestVerifyCacheEquivalenceProperty: the signature-verification memo and
-// the lazy header-first decode are pure wall-clock optimizations — for
-// every scenario of the matrix, runs with the cache on and off, in both
-// the default and the literal-Alg.-1 (paranoid) check order, must produce
-// byte-identical results (DESIGN.md §9). The cached+default configuration
-// is Simulate's production fast path; uncached+paranoid is the slowest,
-// most literal reference.
+// TestVerifyCacheEquivalenceProperty: the signature-verification memo is
+// a pure wall-clock optimization — for every scenario of the matrix, runs
+// with the cache on and off must produce byte-identical results
+// (DESIGN.md §9). The cached run is Simulate's production fast path. The
+// literal Alg. 1 check order is pinned against it in internal/nectar
+// (TestLiteralOrderEquivalenceProperty).
 func TestVerifyCacheEquivalenceProperty(t *testing.T) {
-	variants := []struct {
-		name     string
-		mut      func(*SimulationConfig)
-		wantHits bool // the memo must actually fire, not silently no-op
-	}{
-		{"cached/paranoid", func(c *SimulationConfig) { c.ParanoidVerify = true }, true},
-		{"uncached/default", func(c *SimulationConfig) { c.NoVerifyCache = true }, false},
-		{"uncached/paranoid", func(c *SimulationConfig) { c.NoVerifyCache = true; c.ParanoidVerify = true }, false},
-	}
 	for _, seed := range []int64{1, 7} {
 		for _, tc := range equivalenceCases(t, seed) {
-			ref, err := Simulate(tc.cfg) // cached + default order: the fast path
+			ref, err := Simulate(tc.cfg) // cached: the fast path
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, tc.name, err)
 			}
 			if ref.VerifyCacheHits == 0 {
 				t.Errorf("seed %d %s: verify cache never hit", seed, tc.name)
 			}
-			for _, v := range variants {
-				cfg := tc.cfg
-				v.mut(&cfg)
-				got, err := Simulate(cfg)
-				if err != nil {
-					t.Fatalf("seed %d %s/%s: %v", seed, tc.name, v.name, err)
-				}
-				assertSimEquivalent(t, fmt.Sprintf("seed %d %s/%s", seed, tc.name, v.name), ref, got)
-				if hit := got.VerifyCacheHits > 0; hit != v.wantHits {
-					t.Errorf("seed %d %s/%s: VerifyCacheHits=%d, want hits=%v",
-						seed, tc.name, v.name, got.VerifyCacheHits, v.wantHits)
-				}
+			cfg := tc.cfg
+			cfg.NoVerifyCache = true
+			got, err := Simulate(cfg)
+			if err != nil {
+				t.Fatalf("seed %d %s/uncached: %v", seed, tc.name, err)
+			}
+			assertSimEquivalent(t, fmt.Sprintf("seed %d %s/uncached", seed, tc.name), ref, got)
+			if got.VerifyCacheHits != 0 {
+				t.Errorf("seed %d %s/uncached: VerifyCacheHits=%d, want 0", seed, tc.name, got.VerifyCacheHits)
 			}
 		}
 	}
@@ -214,17 +205,6 @@ func TestLazyDiscardFires(t *testing.T) {
 	}
 	if res.DecideCacheHits == 0 {
 		t.Error("identical views did not share a connectivity computation")
-	}
-	// Paranoid mode decodes fully before the duplicate check, so the lazy
-	// counter must stay zero there.
-	res, err = Simulate(SimulationConfig{
-		Graph: Ring(12), T: 1, Seed: 5, SchemeName: "hmac", ParanoidVerify: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LazyDiscards != 0 {
-		t.Errorf("paranoid run reported %d lazy discards", res.LazyDiscards)
 	}
 }
 
@@ -254,8 +234,10 @@ func TestEngineV2EarlyExitFires(t *testing.T) {
 }
 
 // TestExperimentEquivalence: harness-level runs (all three protocols) must
-// produce identical accuracy and traffic with and without early exit, and
-// with sequential versus parallel engine stepping.
+// produce identical accuracy and traffic with and without early exit and
+// the verify cache, and a one-trial spec must produce identical records
+// with one engine worker (Jobs 1) and four (Jobs 4, the whole budget
+// going to the engine).
 func TestExperimentEquivalence(t *testing.T) {
 	for _, proto := range []ProtocolKind{ProtoNectar, ProtoMtG, ProtoMtGv2} {
 		base := ExperimentSpec{
@@ -275,7 +257,6 @@ func TestExperimentEquivalence(t *testing.T) {
 			mut  func(*ExperimentSpec)
 		}{
 			{"full-horizon", func(s *ExperimentSpec) { s.FullHorizon = true }},
-			{"engine-parallel", func(s *ExperimentSpec) { s.EngineParallel = true }},
 			{"no-verify-cache", func(s *ExperimentSpec) { s.NoVerifyCache = true }},
 		} {
 			spec := base
@@ -293,6 +274,20 @@ func TestExperimentEquivalence(t *testing.T) {
 						proto, variant.name, i, r, g)
 				}
 			}
+		}
+		seq, par := base, base
+		seq.Trials, seq.Jobs = 1, 1
+		par.Trials, par.Jobs = 1, 4
+		one, err := RunExperiment(seq)
+		if err != nil {
+			t.Fatalf("%s/jobs=1: %v", proto, err)
+		}
+		four, err := RunExperiment(par)
+		if err != nil {
+			t.Fatalf("%s/jobs=4: %v", proto, err)
+		}
+		if !reflect.DeepEqual(one.Trials, four.Trials) {
+			t.Errorf("%s: engine-parallel trial diverges:\njobs=1: %+v\njobs=4: %+v", proto, one.Trials, four.Trials)
 		}
 		// MtG gossips forever, so only it must pay the full horizon.
 		if proto == ProtoMtG && ref.ActiveRounds.Mean != float64(13) {
@@ -320,5 +315,79 @@ func TestSimulateRejectsMisconfiguredBlocked(t *testing.T) {
 		if _, err := Simulate(cfg); err == nil {
 			t.Errorf("case %d: misconfigured Blocked accepted", i)
 		}
+	}
+}
+
+// TestSimulateInvariantAcrossWorkers: the engine's worker count never
+// changes a result. Every scenario of the matrix must produce a
+// JSON-identical SimulationResult at Workers 1, 2 and 4 — outcomes,
+// traffic, and the obs.FastPath counters (lazy discards, decide-cache
+// hits, verify-cache hits and misses) included.
+func TestSimulateInvariantAcrossWorkers(t *testing.T) {
+	for _, seed := range []int64{1, 7} {
+		for _, tc := range equivalenceCases(t, seed) {
+			var ref []byte
+			for _, workers := range []int{1, 2, 4} {
+				cfg := tc.cfg
+				cfg.Workers = workers
+				res, err := Simulate(cfg)
+				if err != nil {
+					t.Fatalf("seed %d %s workers %d: %v", seed, tc.name, workers, err)
+				}
+				got, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref = got
+					continue
+				}
+				if string(got) != string(ref) {
+					t.Errorf("seed %d %s: workers %d result differs from workers 1:\n%s\n%s",
+						seed, tc.name, workers, got, ref)
+				}
+			}
+		}
+	}
+}
+
+// TestKnownBehaviorsShareOneWiring: every Simulate behaviour is also a
+// harness NECTAR attack, and the shared wrapper builder both drive
+// accepts it — so the two name sets cannot drift apart.
+func TestKnownBehaviorsShareOneWiring(t *testing.T) {
+	attacks := make(map[string]bool)
+	for _, a := range harness.SupportedAttacks(harness.ProtoNectar) {
+		attacks[string(a)] = true
+	}
+	g := Ring(6)
+	scheme := NewHMACScheme(g.N(), 1)
+	for _, beh := range KnownBehaviors() {
+		if !attacks[string(beh)] {
+			t.Errorf("behaviour %q is not a harness NECTAR attack", beh)
+		}
+		nodes, err := BuildNodes(g, 2, scheme, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		protos := make([]rounds.Protocol, len(nodes))
+		for i, nd := range nodes {
+			protos[i] = nd
+		}
+		c := adversary.NectarCoalition{
+			Graph: g, Scheme: scheme, Horizon: g.N() - 1,
+			Behavior: map[ids.NodeID]string{0: string(beh), 3: string(beh)},
+			Blocked:  map[ids.NodeID]ids.Set{0: ids.NewSet(1), 3: ids.NewSet(4)},
+		}
+		if err := adversary.WrapNectar(c, nodes, protos, nil); err != nil {
+			t.Errorf("behaviour %q: %v", beh, err)
+		}
+		if protos[0] == rounds.Protocol(nodes[0]) {
+			t.Errorf("behaviour %q left node 0 unwrapped", beh)
+		}
+	}
+	if err := adversary.WrapNectar(adversary.NectarCoalition{
+		Graph: g, Scheme: scheme, Behavior: map[ids.NodeID]string{0: "poison"},
+	}, make([]*Node, g.N()), make([]rounds.Protocol, g.N()), nil); err == nil {
+		t.Error("the shared builder accepted a behaviour NECTAR does not define")
 	}
 }

@@ -1,6 +1,9 @@
 package adversary
 
 import (
+	"fmt"
+	"sort"
+
 	"github.com/nectar-repro/nectar/internal/graph"
 	"github.com/nectar-repro/nectar/internal/ids"
 	"github.com/nectar-repro/nectar/internal/nectar"
@@ -10,6 +13,90 @@ import (
 
 // NECTAR-specific Byzantine behaviours (§IV "Impact of Byzantine
 // deviations" and §V-D).
+
+// NectarCoalition describes one NECTAR run's Byzantine coalition for
+// WrapNectar.
+type NectarCoalition struct {
+	// Graph is the communication graph of the run (or epoch).
+	Graph *graph.Graph
+	// Scheme holds every node's signing capability; colluding members
+	// forge fake edges with each other's signers.
+	Scheme sig.Scheme
+	// Behavior names each member's deviation: crash, splitbrain,
+	// fakeedges, garbage, stale, equivocate, omitown, adaptive or phased.
+	// Every key is a member, so fake-edge partners and hidden edges range
+	// over all of them.
+	Behavior map[ids.NodeID]string
+	// Blocked lists, per split-brain member, the destinations it
+	// stonewalls.
+	Blocked map[ids.NodeID]ids.Set
+	// Seed seeds the garbage flooders: member b draws from Seed^b.
+	Seed int64
+	// Horizon is the round horizon the phased schedule keys on.
+	Horizon int
+}
+
+// WrapNectar replaces protos[b], for every coalition member b not in
+// skip, with b's deviation wrapped around the correct node nodes[b].
+// Members are wrapped in ascending ID order, and the adaptive and phased
+// members all join one fresh Coordinator. Input validation is the
+// caller's; an unknown behaviour name is the only error.
+func WrapNectar(c NectarCoalition, nodes []*nectar.Node, protos []rounds.Protocol, skip ids.Set) error {
+	members := make([]ids.NodeID, 0, len(c.Behavior))
+	for b := range c.Behavior {
+		members = append(members, b)
+	}
+	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	sigSize := c.Scheme.Verifier().SigSize()
+	var coord *Coordinator
+	for _, b := range members {
+		if skip.Has(b) {
+			continue
+		}
+		inner := nodes[b]
+		nbrs := c.Graph.Neighbors(b)
+		switch beh := c.Behavior[b]; beh {
+		case "crash":
+			protos[b] = Silent{}
+		case "splitbrain":
+			protos[b] = SplitBrain(inner, c.Blocked[b])
+		case "fakeedges":
+			var partners []sig.Signer
+			for _, other := range members {
+				if other != b {
+					partners = append(partners, c.Scheme.SignerFor(other))
+				}
+			}
+			protos[b] = NewNectarFakeEdges(inner, c.Scheme.SignerFor(b), partners, sigSize, nbrs)
+		case "garbage":
+			protos[b] = NewGarbage(nbrs, c.Seed^int64(b), 200)
+		case "stale":
+			protos[b] = NewNectarStaleReplay(inner)
+		case "equivocate":
+			protos[b] = NectarEquivocate(inner)
+		case "omitown":
+			hide := make(map[graph.Edge]bool)
+			for _, other := range members {
+				if other != b && c.Graph.HasEdge(b, other) {
+					hide[graph.NewEdge(b, other)] = true
+				}
+			}
+			protos[b] = NectarOmitOwn(inner, sigSize, hide)
+		case "adaptive", "phased":
+			if coord == nil {
+				coord = NewCoordinator()
+			}
+			sched := AlwaysEquivocate()
+			if beh == "phased" {
+				sched = StaleThenEquivocate(PhasedSwitchRound(c.Horizon))
+			}
+			protos[b] = coord.Join(inner, b, nbrs, sched)
+		default:
+			return fmt.Errorf("adversary: unknown NECTAR behaviour %q for node %v", beh, b)
+		}
+	}
+	return nil
+}
 
 // NectarOmitOwn behaves like a correct NECTAR node but never announces the
 // edges in hide in round 1 (it still relays other nodes' messages

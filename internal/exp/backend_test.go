@@ -30,16 +30,6 @@ func runRemote(plan *Plan, u UnitRef) UnitOutcome {
 	return UnitOutcome{Ref: u, Data: data, Err: err}
 }
 
-func TestExecuteRejectsBackendWithWorkerOverride(t *testing.T) {
-	be := funcBackend(func(*Plan, []UnitRef, <-chan struct{}, func(UnitOutcome) bool) error { return nil })
-	_, err := Execute(mustPlan(t, newFakeRunner("a", 1, 2)), Options{
-		Backend: be, UnitWorkers: 2, EngineWorkers: 2,
-	})
-	if err == nil || !strings.Contains(err.Error(), "per-process") {
-		t.Fatalf("want override rejection, got %v", err)
-	}
-}
-
 // TestBackendAggregatesMatchLocal pins the core Backend contract: a
 // backend delivering every unit produces results identical to the local
 // pool.

@@ -123,8 +123,7 @@ func FingerprintHash(fp string) string {
 // engine-worker share adapts to how many units the coordinator has in
 // flight there — see internal/exp/dist), so a coordinator cannot
 // oversubscribe or starve a remote machine whose core count it knows
-// nothing about. Execute enforces this: combining Options.Backend with
-// the UnitWorkers/EngineWorkers override is rejected.
+// nothing about.
 func SplitBudget(jobs, units int) (unitWorkers, engineWorkers int) {
 	if jobs < 1 {
 		jobs = 1

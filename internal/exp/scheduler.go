@@ -58,13 +58,6 @@ type Options struct {
 	// (0 = GOMAXPROCS, negative is invalid). With a Backend, Jobs is
 	// ignored: remote workers own their own budgets.
 	Jobs int
-	// UnitWorkers / EngineWorkers, when both positive, override the
-	// SplitBudget rule (the harness uses this to honor the legacy
-	// EngineParallel knob: all budget to the engine). Worker counts never
-	// change results, only wall-clock. Incompatible with Backend: the
-	// budget split is per-process, and a remote worker's split comes from
-	// that worker's own budget.
-	UnitWorkers, EngineWorkers int
 	// Backend, when non-nil, executes the pending units instead of the
 	// local pool (distributed dispatch, internal/exp/dist). Resume,
 	// checkpointing, dedupe, and aggregation are unchanged: every
@@ -290,9 +283,6 @@ func Execute(plan *Plan, opts Options) (*Results, error) {
 	if opts.Jobs < 0 {
 		return nil, fmt.Errorf("exp: negative Jobs %d", opts.Jobs)
 	}
-	if opts.Backend != nil && (opts.UnitWorkers > 0 || opts.EngineWorkers > 0) {
-		return nil, fmt.Errorf("exp: UnitWorkers/EngineWorkers are per-process knobs; a Backend's workers split their own budgets (SplitBudget)")
-	}
 	jobs := opts.Jobs
 	if jobs == 0 {
 		jobs = runtime.GOMAXPROCS(0)
@@ -335,9 +325,6 @@ func Execute(plan *Plan, opts Options) (*Results, error) {
 		}
 	}
 	unitWorkers, engineWorkers := SplitBudget(jobs, len(pending))
-	if opts.UnitWorkers > 0 && opts.EngineWorkers > 0 {
-		unitWorkers, engineWorkers = opts.UnitWorkers, opts.EngineWorkers
-	}
 	if opts.Backend != nil {
 		// The split happens on each remote worker, from its own budget.
 		unitWorkers, engineWorkers = 0, 0

@@ -4,10 +4,9 @@ import "github.com/nectar-repro/nectar/internal/ids"
 
 // CSRView is an immutable compressed-sparse-row snapshot of the adjacency:
 // the neighbors of v are Adj[Off[v]:Off[v+1]], sorted ascending. One flat
-// allocation holds every neighbor list, so traversal-heavy consumers (the
-// struct-of-arrays rounds engine, large-n benchmarks) iterate contiguous
-// memory instead of chasing n separate slice headers. The snapshot does
-// not track later mutations of g.
+// allocation holds every neighbor list, so traversal-heavy consumers
+// iterate contiguous memory instead of chasing n separate slice headers.
+// The snapshot does not track later mutations of g.
 type CSRView struct {
 	Off []int32
 	Adj []ids.NodeID

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/nectar-repro/nectar/internal/adversary"
-	"github.com/nectar-repro/nectar/internal/graph"
 	"github.com/nectar-repro/nectar/internal/ids"
 	"github.com/nectar-repro/nectar/internal/mtg"
 	"github.com/nectar-repro/nectar/internal/nectar"
@@ -176,54 +175,18 @@ func nectarStack(spec *Spec, sc *Scenario, scheme sig.Scheme, trialSeed int64) (
 	for i, nd := range nodes {
 		protos[i] = nd
 	}
-	sigSize := scheme.Verifier().SigSize()
-	horizon := spec.Rounds
-	if horizon == 0 {
-		horizon = g.N() - 1
-	}
-	// Coordinated attacks share one controller across the whole coalition.
-	var coord *adversary.Coordinator
-	if spec.Attack == AttackAdaptive || spec.Attack == AttackPhased {
-		coord = adversary.NewCoordinator()
-	}
-	for _, b := range sc.Byz.Sorted() {
-		inner := nodes[b]
-		nbrs := g.Neighbors(b)
-		switch spec.Attack {
-		case AttackNone:
-			// keep the correct behaviour
-		case AttackCrash:
-			protos[b] = adversary.Silent{}
-		case AttackSplitBrain:
-			protos[b] = adversary.SplitBrain(inner, sc.Blocked[b])
-		case AttackFakeEdges:
-			var partners []sig.Signer
-			for _, other := range sc.Byz.Sorted() {
-				if other != b {
-					partners = append(partners, scheme.SignerFor(other))
-				}
-			}
-			protos[b] = adversary.NewNectarFakeEdges(inner, scheme.SignerFor(b), partners, sigSize, nbrs)
-		case AttackGarbage:
-			protos[b] = adversary.NewGarbage(nbrs, trialSeed^int64(b), 200)
-		case AttackStale:
-			protos[b] = adversary.NewNectarStaleReplay(inner)
-		case AttackEquivocate:
-			protos[b] = adversary.NectarEquivocate(inner)
-		case AttackOmitOwn:
-			hide := make(map[graph.Edge]bool)
-			for other := range sc.Byz {
-				if other != b && g.HasEdge(b, other) {
-					hide[graph.NewEdge(b, other)] = true
-				}
-			}
-			protos[b] = adversary.NectarOmitOwn(inner, sigSize, hide)
-		case AttackAdaptive:
-			protos[b] = coord.Join(inner, b, nbrs, adversary.AlwaysEquivocate())
-		case AttackPhased:
-			protos[b] = coord.Join(inner, b, nbrs, adversary.StaleThenEquivocate(adversary.PhasedSwitchRound(horizon)))
-		default:
-			return nil, nil, nil, fmt.Errorf("harness: attack %q not defined for NECTAR", spec.Attack)
+	if spec.Attack != AttackNone {
+		horizon := spec.Rounds
+		if horizon == 0 {
+			horizon = g.N() - 1
+		}
+		behavior := make(map[ids.NodeID]string, sc.Byz.Len())
+		for b := range sc.Byz {
+			behavior[b] = string(spec.Attack)
+		}
+		c := adversary.NectarCoalition{Graph: g, Scheme: scheme, Behavior: behavior, Blocked: sc.Blocked, Seed: trialSeed, Horizon: horizon}
+		if err := adversary.WrapNectar(c, nodes, protos, nil); err != nil {
+			return nil, nil, nil, err
 		}
 	}
 	return protos, nodes, vcache, nil

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/graph"
@@ -319,10 +320,13 @@ func TestCutPlacementFallsBackToRandom(t *testing.T) {
 	}
 }
 
+// TestEngineParallelMatchesSequentialTrials: a one-trial spec hands its
+// whole Jobs budget to the engine (exp.SplitBudget), so Jobs 4 runs the
+// trial on four engine workers; it must match the Jobs 1 run.
 func TestEngineParallelMatchesSequentialTrials(t *testing.T) {
 	base := Spec{
 		Protocol: ProtoNectar, Attack: AttackSplitBrain,
-		T: 2, Trials: 2, Seed: 8,
+		T: 2, Trials: 1, Seed: 8, Jobs: 1,
 		Scenario: Bridge(14, 2, 6, 1.2, 2),
 	}
 	seq, err := Run(base)
@@ -330,7 +334,7 @@ func TestEngineParallelMatchesSequentialTrials(t *testing.T) {
 		t.Fatal(err)
 	}
 	par := base
-	par.EngineParallel = true
+	par.Jobs = 4
 	got, err := Run(par)
 	if err != nil {
 		t.Fatal(err)
@@ -338,6 +342,9 @@ func TestEngineParallelMatchesSequentialTrials(t *testing.T) {
 	if seq.Accuracy.Mean != got.Accuracy.Mean || seq.BytesPerNode.Mean != got.BytesPerNode.Mean {
 		t.Errorf("parallel engine changed results: %v/%v vs %v/%v",
 			seq.Accuracy.Mean, seq.BytesPerNode.Mean, got.Accuracy.Mean, got.BytesPerNode.Mean)
+	}
+	if !reflect.DeepEqual(stripResult(seq), stripResult(got)) {
+		t.Error("parallel engine changed the trial records")
 	}
 }
 

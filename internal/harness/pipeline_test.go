@@ -70,7 +70,8 @@ func legacyRunDynamic(t *testing.T, spec DynamicSpec) *DynamicResult {
 
 // pipelineMatrix is a representative spec matrix: every protocol, a
 // Byzantine attack each, randomized and deterministic scenarios, both
-// schemes, loss, and an engine-parallel spec.
+// schemes, loss, and a one-trial spec whose whole Jobs budget goes to
+// the engine.
 func pipelineMatrix() []Spec {
 	harary := func(k, n int) ScenarioFn {
 		return Plain(func(*rand.Rand) (*graph.Graph, error) { return topology.Harary(k, n) })
@@ -91,7 +92,7 @@ func pipelineMatrix() []Spec {
 		{Name: "mtgv2-crash-loss", Protocol: ProtoMtGv2, Attack: AttackCrash,
 			Scenario: harary(4, 12), T: 1, Trials: 4, Seed: 3, LossRate: 0.2},
 		{Name: "nectar-engine-parallel", Protocol: ProtoNectar, Attack: AttackNone,
-			Scenario: harary(4, 16), T: 1, Trials: 2, Seed: 9, EngineParallel: true},
+			Scenario: harary(4, 16), T: 1, Trials: 1, Seed: 9},
 	}
 }
 

@@ -11,13 +11,6 @@ import (
 // BuildOption customizes the per-node Config produced by BuildNodes.
 type BuildOption func(*Config)
 
-// WithParanoidVerify enables the literal Alg.-1 check order (signature
-// verification before the duplicate check) on every node — an ablation
-// knob, see Config.ParanoidVerify.
-func WithParanoidVerify() BuildOption {
-	return func(c *Config) { c.ParanoidVerify = true }
-}
-
 // WithVerifyCache shares a signature-verification memo across every node
 // built — the per-trial cache of the fast path (DESIGN.md §9). Outcomes
 // are bit-identical with and without it; see Config.VerifyCache.

@@ -75,13 +75,6 @@ type Config struct {
 	// default n-1 (the safe lower bound when the topology is unknown,
 	// §IV-B). Values below the correct-subgraph diameter lose liveness.
 	Rounds int
-	// ParanoidVerify verifies signatures even for already-known edges,
-	// matching the literal check order of Alg. 1 l. 14. The default
-	// (false) discards duplicates before any signature work — safe, since
-	// duplicates cause no state change — cutting verification cost from
-	// O(m·deg) to O(m) chains per node (DESIGN.md §2). Exposed as an
-	// ablation knob; decisions are identical either way.
-	ParanoidVerify bool
 	// VerifyCache, when non-nil, memoizes signature verifications.
 	// Verification is deterministic for every provided scheme, so the memo
 	// is semantics-preserving; share one cache across the nodes of a trial
@@ -96,16 +89,17 @@ type Stats struct {
 	// Accepted counts first-reception edges stored and scheduled for relay.
 	Accepted int
 	// Duplicates counts messages discarded because the edge was already
-	// known (no verification spent, see DESIGN.md §2). In the default
-	// (non-paranoid) mode duplicates are classified from the edge header
-	// alone, so a duplicate with a malformed tail still counts here, not
-	// under Rejected — honest senders never produce such messages.
+	// known (no verification spent, see DESIGN.md §2). Duplicates are
+	// classified from the edge header alone, so a duplicate with a
+	// malformed tail still counts here, not under Rejected — honest
+	// senders never produce such messages.
 	Duplicates int
 	// Rejected counts structurally invalid or signature-failing messages.
 	Rejected int
 	// LazyDiscards counts duplicates discarded by the header-first lazy
 	// decode before the chain was parsed or any hop allocated (DESIGN.md
-	// §9). Always 0 in paranoid mode, which fully decodes first.
+	// §9). Every duplicate is discarded that way, so it always equals
+	// Duplicates.
 	LazyDiscards int
 }
 
@@ -306,38 +300,20 @@ func (nd *Node) encodeRelay(raw []byte, ps int, sg []byte, sigSize int) []byte {
 // Deliver implements rounds.Protocol (Alg. 1 ll. 13-15). Invalid messages
 // are ignored; an edge already in Gi is discarded before any signature
 // work; a first-seen valid edge is recorded and queued for relay in the
-// next round.
+// next round. Alg. 1 l. 14 literally verifies before the duplicate check;
+// discarding first is safe, since duplicates cause no state change, and
+// cuts verification from O(m·deg) to O(m) chains per node (DESIGN.md §2).
+// The tests keep the literal order as an oracle that must decide
+// identically.
 //
-// The default mode decodes lazily, header first (DESIGN.md §9): the edge
-// endpoints live in the first 8 bytes, and duplicates — the dominant case
-// in a flood — are discarded from them alone, before the chain is parsed
-// or a single hop allocated. Only messages that survive the duplicate
-// check are fully decoded (zero-copy, aliasing data) and verified; only
-// accepted messages are copied into owned memory for relay.
+// Decoding is lazy, header first (DESIGN.md §9): the edge endpoints live
+// in the first 8 bytes, and duplicates — the dominant case in a flood —
+// are discarded from them alone, before the chain is parsed or a single
+// hop allocated. Only messages that survive the duplicate check are fully
+// decoded (zero-copy, aliasing data) and verified; only accepted messages
+// are copied into owned memory for relay.
 func (nd *Node) Deliver(round int, from ids.NodeID, data []byte) {
 	sigSize := nd.cfg.Verifier.SigSize()
-	if nd.cfg.ParanoidVerify {
-		// Literal Alg. 1 order: full decode and verification first, then
-		// the duplicate check.
-		m, hops, err := decodeEdgeMsgInto(data, sigSize, nd.cfg.N, nd.hopScratch)
-		nd.hopScratch = hops
-		if err != nil {
-			nd.stats.Rejected++
-			nd.traceReject(round, from, 0, err)
-			return
-		}
-		if err := nd.scr.check(nd.ver, m, from, round); err != nil {
-			nd.stats.Rejected++
-			nd.traceReject(round, from, len(m.Chain), err)
-			return
-		}
-		if nd.view.HasEdge(m.Proof.Edge.U, m.Proof.Edge.V) {
-			nd.stats.Duplicates++
-			return
-		}
-		nd.accept(round, m.Proof.Edge, len(m.Chain), from, data)
-		return
-	}
 	e, err := DecodeEdgeHeader(data, nd.cfg.N)
 	if err != nil {
 		nd.stats.Rejected++

@@ -342,26 +342,29 @@ func TestDecisionStringer(t *testing.T) {
 
 func TestParanoidVerifyIsDecisionEquivalent(t *testing.T) {
 	// The duplicate-discard optimization (DESIGN.md §2) must not change
-	// any observable outcome: identical views and decisions, with the
-	// duplicates counted either way.
+	// any observable outcome against the literal-order oracle: identical
+	// views and decisions, with the duplicates counted either way.
 	g := topology.Complete(7)
 	scheme := sig.NewHMAC(7, 1)
-	run := func(opts ...BuildOption) []*Node {
-		nodes, err := BuildNodes(g, 2, scheme, 0, opts...)
+	run := func(literal bool) []*Node {
+		nodes, err := BuildNodes(g, 2, scheme, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		protos := make([]rounds.Protocol, len(nodes))
 		for i, nd := range nodes {
 			protos[i] = nd
+			if literal {
+				protos[i] = literalOrder{nd}
+			}
 		}
 		if _, err := rounds.Run(rounds.Config{Graph: g, Rounds: 6, Seed: 9}, protos); err != nil {
 			t.Fatal(err)
 		}
 		return nodes
 	}
-	fast := run()
-	paranoid := run(WithParanoidVerify())
+	fast := run(false)
+	paranoid := run(true)
 	for i := range fast {
 		if !fast[i].View().Equal(paranoid[i].View()) {
 			t.Errorf("node %d views differ across verify orders", i)
@@ -378,12 +381,13 @@ func TestParanoidVerifyIsDecisionEquivalent(t *testing.T) {
 }
 
 func TestParanoidVerifyRejectsBeforeDuplicateCheck(t *testing.T) {
-	// In paranoid mode an invalid message for a KNOWN edge is counted as
-	// rejected (verified first); in fast mode it is counted a duplicate.
+	// Under the literal-order oracle an invalid message for a KNOWN edge
+	// is counted as rejected (verified first); Deliver's own order counts
+	// it a duplicate.
 	g := topology.Ring(4)
 	scheme := sig.NewHMAC(4, 1)
-	build := func(opts ...BuildOption) *Node {
-		nodes, err := BuildNodes(g, 1, scheme, 0, opts...)
+	build := func() *Node {
+		nodes, err := BuildNodes(g, 1, scheme, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,7 +403,7 @@ func TestParanoidVerifyRejectsBeforeDuplicateCheck(t *testing.T) {
 	if st := fast.Stats(); st.Duplicates != 1 || st.Rejected != 0 {
 		t.Errorf("fast mode stats = %+v, want duplicate", st)
 	}
-	paranoid := build(WithParanoidVerify())
+	paranoid := literalOrder{build()}
 	paranoid.Deliver(1, 1, data)
 	if st := paranoid.Stats(); st.Rejected != 1 || st.Duplicates != 0 {
 		t.Errorf("paranoid mode stats = %+v, want rejected", st)

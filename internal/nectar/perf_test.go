@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/ids"
+	"github.com/nectar-repro/nectar/internal/rounds"
 	"github.com/nectar-repro/nectar/internal/sig"
 	"github.com/nectar-repro/nectar/internal/topology"
 )
@@ -142,12 +143,13 @@ func BenchmarkDeliver(b *testing.B) {
 		}
 	})
 	b.Run("duplicate-paranoid", func(b *testing.B) {
-		fx := newDeliverFixture(b, WithParanoidVerify())
-		fx.node.Deliver(2, fx.from, fx.relay)
+		fx := newDeliverFixture(b)
+		oracle := literalOrder{fx.node}
+		oracle.Deliver(2, fx.from, fx.relay)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fx.node.Deliver(2, fx.from, fx.dup)
+			oracle.Deliver(2, fx.from, fx.dup)
 		}
 	})
 	b.Run("garbage-reject", func(b *testing.B) {
@@ -195,5 +197,45 @@ func BenchmarkEmitRelay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fx.node.queue = fx.node.queue[:1] // resurrect the drained item
 		fx.node.Emit(3)
+	}
+}
+
+// BenchmarkAblationDuplicateDiscard quantifies the verification-skipping
+// optimization (DESIGN.md §2) on a whole flood: "fast" is Deliver's
+// duplicate-first order, "paranoid" the literal-order oracle, which
+// verifies every copy of every edge before discarding it.
+func BenchmarkAblationDuplicateDiscard(b *testing.B) {
+	g, err := topology.Harary(10, 40)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scheme := sig.NewHMAC(40, 1)
+	for _, mode := range []struct {
+		name    string
+		literal bool
+	}{{"fast", false}, {"paranoid", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				nodes, err := BuildNodes(g, 1, scheme, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				protos := make([]rounds.Protocol, len(nodes))
+				for k, nd := range nodes {
+					protos[k] = nd
+					if mode.literal {
+						protos[k] = literalOrder{nd}
+					}
+				}
+				if _, err := rounds.Run(rounds.Config{Graph: g, Rounds: nodes[0].Rounds(), Seed: 1}, protos); err != nil {
+					b.Fatal(err)
+				}
+				for k, nd := range nodes {
+					if o := nd.Decide(); o.Decision != NotPartitionable {
+						b.Fatalf("node %d decided %v", k, o.Decision)
+					}
+				}
+			}
+		})
 	}
 }

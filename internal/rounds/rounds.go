@@ -306,10 +306,9 @@ type engine struct {
 	quiescers []Quiescer // non-nil only when every node implements Quiescer
 	m         *Metrics
 	outboxes  [][]Send
-	shards    []*routeShard // AoS staging, nil when soa is active
-	soa       []*soaShard   // SoA staging, nil when shards is active
-	inboxes   [][]delivery  // per-recipient merged+shuffled inbox, reused
-	rngs      []*rand.Rand  // per-worker shuffle RNGs, reseeded per recipient
+	shards    []*routeShard
+	inboxes   [][]delivery // per-recipient merged+shuffled inbox, reused
+	rngs      []*rand.Rand // per-worker shuffle RNGs, reseeded per recipient
 	// traceDelivered[i] is recipient i's delivery count for the current
 	// round, written by deliver (each recipient is handled by exactly one
 	// worker per round, so writes never contend) and drained into
@@ -324,18 +323,8 @@ type engine struct {
 
 // Run drives nodes through cfg.Rounds synchronous rounds and returns the
 // traffic metrics. nodes[i] is the protocol state machine of node i; its
-// length must equal cfg.Graph.N(). Staging uses the struct-of-arrays
-// layout at or above SoAThreshold nodes and the per-recipient layout
-// below it (see soa.go); the choice never changes results.
+// length must equal cfg.Graph.N().
 func Run(cfg Config, nodes []Protocol) (*Metrics, error) {
-	// run rejects len(nodes) != n, so the node count stands in for n.
-	return run(cfg, nodes, len(nodes) >= SoAThreshold)
-}
-
-// run is Run with the staging layout given: soa selects struct-of-arrays
-// staging, otherwise per-recipient slices. Run derives it from n; tests
-// force each side to pin the two layouts byte-identical.
-func run(cfg Config, nodes []Protocol, soa bool) (*Metrics, error) {
 	g := cfg.Graph
 	if cfg.Topology != nil {
 		// Round-1 events are part of the initial topology.
@@ -385,18 +374,11 @@ func run(cfg Config, nodes []Protocol, soa bool) (*Metrics, error) {
 		outboxes: make([][]Send, n),
 		inboxes:  make([][]delivery, n),
 	}
-	if soa {
-		e.soa = make([]*soaShard, workers)
-		for w := range e.soa {
-			e.soa[w] = &soaShard{seen: make(map[uint64]bool)}
-		}
-	} else {
-		e.shards = make([]*routeShard, workers)
-		for w := range e.shards {
-			e.shards[w] = &routeShard{
-				inbox: make([][]delivery, n),
-				seen:  make(map[uint64]bool),
-			}
+	e.shards = make([]*routeShard, workers)
+	for w := range e.shards {
+		e.shards[w] = &routeShard{
+			inbox: make([][]delivery, n),
+			seen:  make(map[uint64]bool),
 		}
 	}
 	if cfg.Tracer != nil {
@@ -474,26 +456,14 @@ func (e *engine) run() {
 		// per-sender metric rows are contention-free and staged inboxes
 		// concatenate back to sender-major order.
 		var dropNonEdge, dropLoss int64
-		if e.soa != nil {
-			parallelChunks(e.n, e.workers, func(w, lo, hi int) {
-				e.routeSoA(e.soa[w], r, lo, hi)
-			})
-			for _, sh := range e.soa {
-				e.m.BytesByRound[r-1] += sh.bytesThisRound
-				dropNonEdge += sh.droppedNonEdge
-				dropLoss += sh.droppedLoss
-				sh.bytesThisRound, sh.droppedNonEdge, sh.droppedLoss = 0, 0, 0
-			}
-		} else {
-			parallelChunks(e.n, e.workers, func(w, lo, hi int) {
-				e.route(e.shards[w], r, lo, hi)
-			})
-			for _, sh := range e.shards {
-				e.m.BytesByRound[r-1] += sh.bytesThisRound
-				dropNonEdge += sh.droppedNonEdge
-				dropLoss += sh.droppedLoss
-				sh.bytesThisRound, sh.droppedNonEdge, sh.droppedLoss = 0, 0, 0
-			}
+		parallelChunks(e.n, e.workers, func(w, lo, hi int) {
+			e.route(e.shards[w], r, lo, hi)
+		})
+		for _, sh := range e.shards {
+			e.m.BytesByRound[r-1] += sh.bytesThisRound
+			dropNonEdge += sh.droppedNonEdge
+			dropLoss += sh.droppedLoss
+			sh.bytesThisRound, sh.droppedNonEdge, sh.droppedLoss = 0, 0, 0
 		}
 		e.m.DroppedNonEdge += dropNonEdge
 		e.m.DroppedLoss += dropLoss
@@ -609,15 +579,9 @@ func (e *engine) route(sh *routeShard, round, lo, hi int) {
 // w selects the calling worker's reusable shuffle RNG.
 func (e *engine) deliver(w, i, round int) {
 	inbox := e.inboxes[i][:0]
-	if e.soa != nil {
-		for _, sh := range e.soa {
-			inbox = sh.gather(i, inbox)
-		}
-	} else {
-		for _, sh := range e.shards {
-			inbox = append(inbox, sh.inbox[i]...)
-			sh.inbox[i] = sh.inbox[i][:0]
-		}
+	for _, sh := range e.shards {
+		inbox = append(inbox, sh.inbox[i]...)
+		sh.inbox[i] = sh.inbox[i][:0]
 	}
 	e.inboxes[i] = inbox
 	if len(inbox) == 0 {

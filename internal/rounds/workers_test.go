@@ -69,12 +69,11 @@ func (c *chaosNode) Deliver(round int, from ids.NodeID, data []byte) {
 	c.log = append(c.log, logged{Round: round, From: from, Data: append([]byte(nil), data...)})
 }
 
-// TestLayoutsByteIdentical pins the struct-of-arrays and per-recipient
-// staging layouts byte-identical — delivery logs and Metrics — for any
-// worker count, under message loss and a mid-run topology swap. Run picks
-// the layout from n alone, so this test is where both sides meet the same
-// inputs.
-func TestLayoutsByteIdentical(t *testing.T) {
+// TestRunBitForBitAcrossWorkers pins delivery logs and Metrics
+// byte-identical for worker counts 1, 2 and 4, under message loss and a
+// mid-run topology swap: sender-striped routing merged in stripe order
+// must reproduce the single-worker run exactly.
+func TestRunBitForBitAcrossWorkers(t *testing.T) {
 	const n, horizon = 24, 10
 	rng := rand.New(rand.NewSource(3))
 	topo := &phasedTopology{phases: map[int]*graph.Graph{
@@ -84,40 +83,37 @@ func TestLayoutsByteIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		var ref []byte
 		for _, workers := range []int{1, 2, 4} {
-			for _, soa := range []bool{false, true} {
-				nodes := make([]*chaosNode, n)
-				protos := make([]Protocol, n)
-				for i := range nodes {
-					nodes[i] = newChaosNode(ids.NodeID(i), n, topo, seed)
-					protos[i] = nodes[i]
+			nodes := make([]*chaosNode, n)
+			protos := make([]Protocol, n)
+			for i := range nodes {
+				nodes[i] = newChaosNode(ids.NodeID(i), n, topo, seed)
+				protos[i] = nodes[i]
+			}
+			m, err := Run(Config{Topology: topo, Rounds: horizon, Seed: seed, LossRate: 0.2, Workers: workers}, protos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logs := make([][]logged, n)
+			for i, nd := range nodes {
+				logs[i] = nd.log
+			}
+			got, err := json.Marshal(struct {
+				Logs    [][]logged
+				Metrics *Metrics
+			}{logs, m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = got
+				if m.DroppedLoss == 0 || m.DroppedNonEdge == 0 {
+					t.Fatalf("seed %d: loss and non-edge drops must both fire (loss %d, non-edge %d)",
+						seed, m.DroppedLoss, m.DroppedNonEdge)
 				}
-				m, err := run(Config{Topology: topo, Rounds: horizon, Seed: seed, LossRate: 0.2, Workers: workers}, protos, soa)
-				if err != nil {
-					t.Fatal(err)
-				}
-				logs := make([][]logged, n)
-				for i, nd := range nodes {
-					logs[i] = nd.log
-				}
-				got, err := json.Marshal(struct {
-					Logs    [][]logged
-					Metrics *Metrics
-				}{logs, m})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ref == nil {
-					ref = got
-					if m.DroppedLoss == 0 || m.DroppedNonEdge == 0 {
-						t.Fatalf("seed %d: loss and non-edge drops must both fire (loss %d, non-edge %d)",
-							seed, m.DroppedLoss, m.DroppedNonEdge)
-					}
-					continue
-				}
-				if !bytes.Equal(got, ref) {
-					t.Errorf("seed %d workers %d soa=%v: delivery logs or metrics differ from workers 1, per-recipient staging",
-						seed, workers, soa)
-				}
+				continue
+			}
+			if !bytes.Equal(got, ref) {
+				t.Errorf("seed %d workers %d: delivery logs or metrics differ from workers 1", seed, workers)
 			}
 		}
 	}

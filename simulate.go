@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/nectar-repro/nectar/internal/adversary"
-	"github.com/nectar-repro/nectar/internal/graph"
 	"github.com/nectar-repro/nectar/internal/ids"
 	"github.com/nectar-repro/nectar/internal/obs"
 	"github.com/nectar-repro/nectar/internal/rounds"
@@ -92,11 +91,6 @@ type SimulationConfig struct {
 	// identical either way; the knob exists for equivalence testing and
 	// crypto-cost ablations.
 	NoVerifyCache bool
-	// ParanoidVerify applies the literal Alg. 1 check order on every node
-	// (signature verification before the duplicate discard) instead of the
-	// default lazy header-first decode. Decisions are identical either
-	// way; see Config.ParanoidVerify.
-	ParanoidVerify bool
 	// Workers caps the engine's intra-run parallelism (0 = GOMAXPROCS).
 	// Results are identical for any worker count (DESIGN.md §6, §10);
 	// bound it when sharing a machine with other runs.
@@ -161,9 +155,6 @@ func Simulate(cfg SimulationConfig) (*SimulationResult, error) {
 		vcache = sig.NewVerifyCache()
 		opts = append(opts, WithVerifyCache(vcache))
 	}
-	if cfg.ParanoidVerify {
-		opts = append(opts, WithParanoidVerify())
-	}
 	nodes, err := BuildNodes(cfg.Graph, cfg.T, scheme, cfg.Rounds, opts...)
 	if err != nil {
 		return nil, err
@@ -176,13 +167,8 @@ func Simulate(cfg SimulationConfig) (*SimulationResult, error) {
 	if r == 0 {
 		r = n - 1
 	}
-	coord := coordinatorFor(cfg.Byzantine)
-	for _, b := range byz.Sorted() {
-		p, err := wrapByzantine(cfg, scheme, nodes[b], b, byz, coord, r)
-		if err != nil {
-			return nil, err
-		}
-		protos[b] = p
+	if err := adversary.WrapNectar(coalition(cfg.Graph, scheme, cfg.Byzantine, cfg.Blocked, cfg.Seed, r), nodes, protos, nil); err != nil {
+		return nil, err
 	}
 	metrics, err := rounds.Run(rounds.Config{
 		Graph:       cfg.Graph,
@@ -262,8 +248,9 @@ func resolveScheme(name string, n int, seed int64) (Scheme, error) {
 
 // checkByzantine validates a Byzantine assignment for an n-node system
 // with bound t: known behaviours, in-range IDs, count within t, and
-// Blocked entries only for split-brain nodes (anything else is a
-// misconfigured attack scenario that would otherwise silently no-op).
+// a non-empty Blocked entry for every split-brain node and for no other
+// node (anything else is a misconfigured attack scenario that would
+// otherwise silently no-op).
 func checkByzantine(n, t int, byzantine map[NodeID]Behavior, blocked map[NodeID][]NodeID) (ids.Set, error) {
 	byz := ids.NewSet()
 	for b, beh := range byzantine {
@@ -279,6 +266,11 @@ func checkByzantine(n, t int, byzantine map[NodeID]Behavior, blocked map[NodeID]
 	if byz.Len() > t {
 		return nil, fmt.Errorf("nectar: %d Byzantine nodes exceed T=%d", byz.Len(), t)
 	}
+	for _, b := range byz.Sorted() {
+		if byzantine[b] == BehaviorSplitBrain && len(blocked[b]) == 0 {
+			return nil, fmt.Errorf("nectar: split-brain node %v has no Blocked set", b)
+		}
+	}
 	for b, targets := range blocked {
 		if byzantine[b] != BehaviorSplitBrain {
 			return nil, fmt.Errorf("nectar: Blocked entry for node %v, which has behavior %q (want %q)",
@@ -293,60 +285,23 @@ func checkByzantine(n, t int, byzantine map[NodeID]Behavior, blocked map[NodeID]
 	return byz, nil
 }
 
-// coordinatorFor returns one fresh shared controller when any assigned
-// behaviour is coordinated (adaptive/phased), nil otherwise. All
-// coordinated nodes of a run join the same controller; other Byzantine
-// behaviours are simply not joined.
-func coordinatorFor(byzantine map[NodeID]Behavior) *adversary.Coordinator {
-	for _, beh := range byzantine {
-		if beh == BehaviorAdaptive || beh == BehaviorPhased {
-			return adversary.NewCoordinator()
-		}
+// coalition converts a Byzantine assignment to the shared NECTAR wrapper
+// builder's input; horizon is the run's round count, which phased
+// schedules key on.
+func coalition(g *Graph, scheme Scheme, byzantine map[NodeID]Behavior, blocked map[NodeID][]NodeID, seed int64, horizon int) adversary.NectarCoalition {
+	c := adversary.NectarCoalition{
+		Graph:    g,
+		Scheme:   scheme,
+		Behavior: make(map[ids.NodeID]string, len(byzantine)),
+		Blocked:  make(map[ids.NodeID]ids.Set, len(blocked)),
+		Seed:     seed,
+		Horizon:  horizon,
 	}
-	return nil
-}
-
-// wrapByzantine builds the adversary wrapper for node b. coord is the
-// shared controller for coordinated behaviours (non-nil iff the run has
-// any); horizon is the run's round count, which phased schedules key on.
-func wrapByzantine(cfg SimulationConfig, scheme Scheme, inner *Node, b NodeID, byz ids.Set, coord *adversary.Coordinator, horizon int) (rounds.Protocol, error) {
-	nbrs := cfg.Graph.Neighbors(b)
-	switch cfg.Byzantine[b] {
-	case BehaviorCrash:
-		return adversary.Silent{}, nil
-	case BehaviorSplitBrain:
-		blocked := ids.NewSet(cfg.Blocked[b]...)
-		if blocked.Len() == 0 {
-			return nil, fmt.Errorf("nectar: split-brain node %v has no Blocked set", b)
-		}
-		return adversary.SplitBrain(inner, blocked), nil
-	case BehaviorFakeEdges:
-		var partners []Signer
-		for _, other := range byz.Sorted() {
-			if other != b {
-				partners = append(partners, scheme.SignerFor(other))
-			}
-		}
-		return adversary.NewNectarFakeEdges(inner, scheme.SignerFor(b), partners,
-			scheme.Verifier().SigSize(), nbrs), nil
-	case BehaviorGarbage:
-		return adversary.NewGarbage(nbrs, cfg.Seed^int64(b), 200), nil
-	case BehaviorStale:
-		return adversary.NewNectarStaleReplay(inner), nil
-	case BehaviorEquivocate:
-		return adversary.NectarEquivocate(inner), nil
-	case BehaviorOmitOwn:
-		hide := make(map[graph.Edge]bool)
-		for _, other := range byz.Sorted() {
-			if other != b && cfg.Graph.HasEdge(b, other) {
-				hide[graph.NewEdge(b, other)] = true
-			}
-		}
-		return adversary.NectarOmitOwn(inner, scheme.Verifier().SigSize(), hide), nil
-	case BehaviorAdaptive:
-		return coord.Join(inner, b, nbrs, adversary.AlwaysEquivocate()), nil
-	case BehaviorPhased:
-		return coord.Join(inner, b, nbrs, adversary.StaleThenEquivocate(adversary.PhasedSwitchRound(horizon))), nil
+	for b, beh := range byzantine {
+		c.Behavior[b] = string(beh)
 	}
-	return nil, fmt.Errorf("nectar: unknown behavior %q for node %v", cfg.Byzantine[b], b)
+	for b, to := range blocked {
+		c.Blocked[b] = ids.NewSet(to...)
+	}
+	return c
 }
