@@ -107,7 +107,7 @@ func TestEngineV2EquivalenceProperty(t *testing.T) {
 				t.Fatalf("seed %d %s: %v", seed, tc.name, err)
 			}
 			full := tc.cfg
-			full.FullHorizon = true
+			full.fullHorizon = true
 			ref, err := Simulate(full)
 			if err != nil {
 				t.Fatalf("seed %d %s (full horizon): %v", seed, tc.name, err)
@@ -179,7 +179,7 @@ func TestVerifyCacheEquivalenceProperty(t *testing.T) {
 				t.Errorf("seed %d %s: verify cache never hit", seed, tc.name)
 			}
 			cfg := tc.cfg
-			cfg.NoVerifyCache = true
+			cfg.noVerifyCache = true
 			got, err := Simulate(cfg)
 			if err != nil {
 				t.Fatalf("seed %d %s/uncached: %v", seed, tc.name, err)

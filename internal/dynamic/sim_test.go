@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/nectar-repro/nectar/internal/graph"
@@ -100,6 +101,35 @@ func TestRunDefaultEpochsCoverMidEpochFinalEvent(t *testing.T) {
 	}
 }
 
+// runExact runs s under the lag-0 oracle and checks every epoch's ground
+// truth against presentKappa on the start graph and absent set that Run
+// handed to build: Kappa is exact and TruthPartitionable is Kappa <= T.
+func runExact(t *testing.T, s *EdgeSchedule, thresh int, seed int64) *Result {
+	t.Helper()
+	var want []int
+	oracle := buildOracle(thresh, 0)
+	res, err := Run(Config{Schedule: s, T: thresh, Seed: seed},
+		func(epoch int, g *graph.Graph, absent ids.Set, seed int64) (*Stack, error) {
+			want = append(want, presentKappa(g, absent))
+			return oracle(epoch, g, absent, seed)
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(res.Epochs) {
+		t.Fatalf("build called for %d epochs, %d reported", len(want), len(res.Epochs))
+	}
+	for e, rep := range res.Epochs {
+		if rep.Kappa != want[e] {
+			t.Errorf("epoch %d: Kappa = %d, want %d on the start graph", e, rep.Kappa, want[e])
+		}
+		if rep.TruthPartitionable != (rep.Kappa <= thresh) {
+			t.Errorf("epoch %d: truth %v disagrees with κ=%d, t=%d", e, rep.TruthPartitionable, rep.Kappa, thresh)
+		}
+	}
+	return res
+}
+
 func TestGroundTruthFlipsAndZeroLatencyDetection(t *testing.T) {
 	// Ring of 6 with T=1: κ=2 -> NOT partitionable. The cut at round 11
 	// (epoch 2's first round) drops to κ=0; the heal at round 21 (epoch
@@ -109,10 +139,7 @@ func TestGroundTruthFlipsAndZeroLatencyDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Schedule: s, T: 1, Seed: 1}, buildOracle(1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runExact(t, s, 1, 1)
 	wantTruth := []bool{false, false, true, true, false}
 	for e, rep := range res.Epochs {
 		if rep.TruthPartitionable != wantTruth[e] {
@@ -133,6 +160,40 @@ func TestGroundTruthFlipsAndZeroLatencyDetection(t *testing.T) {
 	mean, detected, undetected := res.DetectionLatency()
 	if mean != 0 || detected != 2 || undetected != 0 {
 		t.Errorf("DetectionLatency() = (%v, %d, %d), want (0, 2, 0)", mean, detected, undetected)
+	}
+
+	// Edge flapping and node churn (absent nodes) keep the same contract:
+	// exact κ on each epoch's start graph, and zero-latency detection of
+	// every flip by the exact oracle.
+	cases := []struct {
+		name   string
+		build  func() (*EdgeSchedule, error)
+		thresh int
+	}{
+		{"partition-heal", func() (*EdgeSchedule, error) {
+			return PartitionHeal(topology.Ring(8), 11, 29)
+		}, 1},
+		{"flapping", func() (*EdgeSchedule, error) {
+			return Flapping(topology.ErdosRenyi(16, 0.35, rand.New(rand.NewSource(5))),
+				0.08, 0.5, 60, rand.New(rand.NewSource(2)))
+		}, 1},
+		{"churn", func() (*EdgeSchedule, error) {
+			return PoissonChurn(topology.Complete(10), 0.05, 6, 50, rand.New(rand.NewSource(3)))
+		}, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := runExact(t, s, tc.thresh, 9)
+			for _, f := range res.Flips {
+				if f.Latency != 0 {
+					t.Errorf("flip at epoch %d: latency = %d, want 0 for the exact oracle", f.Epoch, f.Latency)
+				}
+			}
+		})
 	}
 }
 

@@ -91,15 +91,6 @@ func (p *Plan) Add(key string, r TrialRunner) error {
 	return nil
 }
 
-// TotalUnits sums the units of every spec.
-func (p *Plan) TotalUnits() int {
-	total := 0
-	for _, s := range p.Specs {
-		total += s.Runner.Units()
-	}
-	return total
-}
-
 // FingerprintHash folds a runner fingerprint into the short stable hash
 // stored in checkpoint records. Distributed workers (internal/exp/dist)
 // compute it over their reconstructed plan during the handshake, so a

@@ -142,25 +142,6 @@ func (g *Graph) connectivity(limit int) (k int, s, t ids.NodeID) {
 	// Any minimum cut either avoids v0 — then it separates v0 from some
 	// non-neighbor — or contains v0 — then it separates two neighbors of
 	// v0 (see DESIGN.md §1/S2 and the package tests for the argument).
-	forEachPivotPair(g, v0, consider)
-	return best, bs, bt
-}
-
-// minDegreeVertex returns the lowest-ID vertex of minimum degree.
-func (g *Graph) minDegreeVertex() ids.NodeID {
-	var v0 ids.NodeID
-	for v := 1; v < g.n; v++ {
-		if g.Degree(ids.NodeID(v)) < g.Degree(v0) {
-			v0 = ids.NodeID(v)
-		}
-	}
-	return v0
-}
-
-// forEachPivotPair enumerates the candidate pair family for pivot v0 —
-// v0 × its non-neighbors, then non-adjacent pairs of its neighbors — in
-// the canonical order shared by exact and sampled κ.
-func forEachPivotPair(g *Graph, v0 ids.NodeID, consider func(a, b ids.NodeID)) {
 	for v := 0; v < g.n; v++ {
 		w := ids.NodeID(v)
 		if w != v0 && !g.HasEdge(v0, w) {
@@ -175,6 +156,18 @@ func forEachPivotPair(g *Graph, v0 ids.NodeID, consider func(a, b ids.NodeID)) {
 			}
 		}
 	}
+	return best, bs, bt
+}
+
+// minDegreeVertex returns the lowest-ID vertex of minimum degree.
+func (g *Graph) minDegreeVertex() ids.NodeID {
+	var v0 ids.NodeID
+	for v := 1; v < g.n; v++ {
+		if g.Degree(ids.NodeID(v)) < g.Degree(v0) {
+			v0 = ids.NodeID(v)
+		}
+	}
+	return v0
 }
 
 func min(a, b int) int {

@@ -22,15 +22,6 @@ func (f *FastPath) Add(o FastPath) {
 	f.DecideCacheHits += o.DecideCacheHits
 }
 
-// VerifyHitRate returns hits/(hits+misses), or 0 with no lookups.
-func (f FastPath) VerifyHitRate() float64 {
-	total := f.VerifyCacheHits + f.VerifyCacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(f.VerifyCacheHits) / float64(total)
-}
-
 // Publish adds the counters to reg under the nectar_fastpath_* names.
 // Registration is idempotent, so repeated publishes from successive runs
 // accumulate into the same counters.

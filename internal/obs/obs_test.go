@@ -236,12 +236,6 @@ func TestFastPathAddAndPublish(t *testing.T) {
 	if f.VerifyCacheHits != 4 || f.LazyDiscards != 2 || f.DecideCacheHits != 5 {
 		t.Fatalf("accumulated = %+v", f)
 	}
-	if got := f.VerifyHitRate(); got != 0.8 {
-		t.Fatalf("hit rate = %v, want 0.8", got)
-	}
-	if got := (FastPath{}).VerifyHitRate(); got != 0 {
-		t.Fatalf("empty hit rate = %v, want 0", got)
-	}
 
 	reg := NewRegistry()
 	f.Publish(reg)

@@ -23,7 +23,7 @@ cd "$(dirname "$0")/.."
 PKGS=". ./internal/nectar ./internal/sig"
 if [[ -n "${SCALE:-}" ]]; then
   BENCHTIME="${BENCHTIME:-1x}"
-  PATTERN='^(BenchmarkLargeN$|BenchmarkKappaIncremental$)'
+  PATTERN='^BenchmarkLargeN$'
   OUT="${OUT:-BENCH_scale.json}"
   TIMEOUT=90m # the connected n=10⁴ flood alone is minutes of Θ(n·m) work
   export NECTAR_SCALE=1 # unlock the heavy n=10⁴ cases

@@ -82,15 +82,6 @@ type SimulationConfig struct {
 	// stonewalls. Every key must be a node assigned BehaviorSplitBrain —
 	// entries for any other node are a configuration error.
 	Blocked map[NodeID][]NodeID
-	// FullHorizon disables the engine's quiescence early exit, forcing
-	// all rounds to execute. Results are identical either way; the knob
-	// exists for equivalence testing and round-complexity ablations.
-	FullHorizon bool
-	// NoVerifyCache disables the run-wide signature-verification memo
-	// (DESIGN.md §9). Verification is deterministic, so results are
-	// identical either way; the knob exists for equivalence testing and
-	// crypto-cost ablations.
-	NoVerifyCache bool
 	// Workers caps the engine's intra-run parallelism (0 = GOMAXPROCS).
 	// Results are identical for any worker count (DESIGN.md §6, §10);
 	// bound it when sharing a machine with other runs.
@@ -98,6 +89,14 @@ type SimulationConfig struct {
 	// Tracer, when non-nil, receives per-round engine trace events
 	// (DESIGN.md §12). Tracing never changes results; nil is free.
 	Tracer obs.Tracer
+
+	// fullHorizon disables the engine's quiescence early exit, forcing
+	// all rounds to execute, and noVerifyCache disables the run-wide
+	// signature-verification memo (DESIGN.md §9). Results are identical
+	// either way; only this package's equivalence tests and ablation
+	// benchmarks set them.
+	fullHorizon   bool
+	noVerifyCache bool
 }
 
 // SimulationResult reports the decisions and traffic of one execution.
@@ -151,7 +150,7 @@ func Simulate(cfg SimulationConfig) (*SimulationResult, error) {
 
 	var opts []BuildOption
 	var vcache *sig.VerifyCache
-	if !cfg.NoVerifyCache {
+	if !cfg.noVerifyCache {
 		vcache = sig.NewVerifyCache()
 		opts = append(opts, WithVerifyCache(vcache))
 	}
@@ -174,7 +173,7 @@ func Simulate(cfg SimulationConfig) (*SimulationResult, error) {
 		Graph:       cfg.Graph,
 		Rounds:      r,
 		Seed:        cfg.Seed,
-		FullHorizon: cfg.FullHorizon,
+		FullHorizon: cfg.fullHorizon,
 		Workers:     cfg.Workers,
 		Tracer:      cfg.Tracer,
 	}, protos)
