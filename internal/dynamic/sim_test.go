@@ -104,13 +104,17 @@ func TestRunDefaultEpochsCoverMidEpochFinalEvent(t *testing.T) {
 // runExact runs s under the lag-0 oracle and checks every epoch's ground
 // truth against presentKappa on the start graph and absent set that Run
 // handed to build: Kappa is exact and TruthPartitionable is Kappa <= T.
-func runExact(t *testing.T, s *EdgeSchedule, thresh int, seed int64) *Result {
+// Each observe is also called with every epoch's start graph.
+func runExact(t *testing.T, s *EdgeSchedule, thresh int, seed int64, observe ...func(*graph.Graph, ids.Set)) *Result {
 	t.Helper()
 	var want []int
 	oracle := buildOracle(thresh, 0)
 	res, err := Run(Config{Schedule: s, T: thresh, Seed: seed},
 		func(epoch int, g *graph.Graph, absent ids.Set, seed int64) (*Stack, error) {
 			want = append(want, presentKappa(g, absent))
+			for _, f := range observe {
+				f(g, absent)
+			}
 			return oracle(epoch, g, absent, seed)
 		})
 	if err != nil {
@@ -162,9 +166,48 @@ func TestGroundTruthFlipsAndZeroLatencyDetection(t *testing.T) {
 		t.Errorf("DetectionLatency() = (%v, %d, %d), want (0, 2, 0)", mean, detected, undetected)
 	}
 
-	// Edge flapping and node churn (absent nodes) keep the same contract:
-	// exact κ on each epoch's start graph, and zero-latency detection of
-	// every flip by the exact oracle.
+}
+
+// cutVerdict decides κ ≤ t on the present subgraph of g by enumeration,
+// independently of the flow-based κ: either at most t+1 nodes are present,
+// or removing some set of at most t present nodes disconnects the rest.
+func cutVerdict(g *graph.Graph, absent ids.Set, t int) bool {
+	var present []ids.NodeID
+	for v := 0; v < g.N(); v++ {
+		if !absent.Has(ids.NodeID(v)) {
+			present = append(present, ids.NodeID(v))
+		}
+	}
+	if len(present) <= t+1 {
+		return true
+	}
+	drop := absent.Clone()
+	var cuts func(from, left int) bool
+	cuts = func(from, left int) bool {
+		if !g.InducedSubgraphConnected(drop) {
+			return true
+		}
+		if left == 0 {
+			return false
+		}
+		for i := from; i < len(present); i++ {
+			drop.Add(present[i])
+			found := cuts(i+1, left-1)
+			drop.Remove(present[i])
+			if found {
+				return true
+			}
+		}
+		return false
+	}
+	return cuts(0, t)
+}
+
+func TestKappaModesAgreeOnVerdicts(t *testing.T) {
+	// Edge flapping and node churn (absent nodes) keep the ground-truth
+	// contract: the flow-based κ that Run reports is exact on each epoch's
+	// start graph, its verdict matches cut enumeration, and the exact
+	// oracle detects every flip with zero latency.
 	cases := []struct {
 		name   string
 		build  func() (*EdgeSchedule, error)
@@ -187,7 +230,16 @@ func TestGroundTruthFlipsAndZeroLatencyDetection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := runExact(t, s, tc.thresh, 9)
+			var enumerated []bool
+			res := runExact(t, s, tc.thresh, 9, func(g *graph.Graph, absent ids.Set) {
+				enumerated = append(enumerated, cutVerdict(g, absent, tc.thresh))
+			})
+			for e, rep := range res.Epochs {
+				if rep.TruthPartitionable != enumerated[e] {
+					t.Errorf("epoch %d: flow verdict %v (κ=%d), cut enumeration %v",
+						e, rep.TruthPartitionable, rep.Kappa, enumerated[e])
+				}
+			}
 			for _, f := range res.Flips {
 				if f.Latency != 0 {
 					t.Errorf("flip at epoch %d: latency = %d, want 0 for the exact oracle", f.Epoch, f.Latency)
